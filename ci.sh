@@ -118,6 +118,18 @@ echo "warm-run cache hit rate: ${hit}"
 awk -v h="$hit" 'BEGIN { exit (h >= 0.95) ? 0 : 1 }' || {
   echo "warm-cache hit rate ${hit} is below 0.95"; exit 1; }
 
+# Observation budget gate (docs/OBSERVABILITY.md): a full observed
+# regeneration on one worker must fit every event it records into that
+# worker's ring. The engines cap their per-op events per run, so any
+# drop means the budget or the event volume of a layer grew.
+echo "==> observed pass drops no events"
+rm -rf ci_observed_results
+SYNCPERF_RESULTS=ci_observed_results cargo run --release --offline -p syncperf-bench \
+  --bin all_figures -- --jobs 1 --no-cache --metrics results/metrics_observed.prom > /dev/null
+grep -qx 'events_dropped_total 0' results/metrics_observed.prom || {
+  echo "observed pass dropped events:"; grep '^events_dropped' results/metrics_observed.prom; exit 1; }
+rm -rf ci_observed_results
+
 # The same gate over the sensitivity grid: hundreds of perturbed-model
 # jobs whose hashes fold in each perturbed model's digest. A warm
 # second run under 95% means model-digest hashing went unstable.

@@ -19,7 +19,7 @@
 //! oracle that never extrapolates; the fast path is bit-exact against
 //! it by construction (property-tested in `tests/property_based.rs`).
 
-use syncperf_core::obs::{ArgValue, Recorder};
+use syncperf_core::obs::{ArgValue, Counter, Gauge, Handles, Histogram, Recorder};
 use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
@@ -33,6 +33,79 @@ use crate::trace::OpTrace;
 /// same way the previous engine's warm-rep window did); steady-state
 /// extrapolation is only allowed past this window.
 pub const OBSERVED_REPS: u64 = 4;
+
+/// Per-op events (`cpu_sim.op` and `store_buffer_drain` instants) one
+/// observed engine run may emit. The engine narrates whole rows — one
+/// thread's ops in one of the [`OBSERVED_REPS`] stepped repetitions —
+/// thread 0 first and, within a thread, the latest (steady) repetition
+/// first, as many rows as fit and always at least one. The count is a
+/// pure function of the run's inputs, so identical passes record
+/// identical events; and a full observed `all_figures --jobs 1` pass
+/// stays inside one thread's event ring.
+pub const OP_EVENT_BUDGET: u64 = 8;
+
+/// The engine's metric handles, resolved once per process for the
+/// global recorder (see [`Handles`]).
+#[derive(Debug, Clone)]
+struct Metrics {
+    engine_runs: Counter,
+    barrier_rounds: Counter,
+    mesi_transitions: Counter,
+    store_buffer_drains: Counter,
+    arb_queue_depth_max: Gauge,
+    compile_us: Histogram,
+    trace_ops: Counter,
+}
+
+static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
+    engine_runs: rec.counter("cpu_sim.engine_runs"),
+    barrier_rounds: rec.counter("cpu_sim.barrier_rounds"),
+    mesi_transitions: rec.counter("cpu_sim.mesi_transitions"),
+    store_buffer_drains: rec.counter("cpu_sim.store_buffer_drains"),
+    arb_queue_depth_max: rec.gauge("cpu_sim.arb_queue_depth_max"),
+    compile_us: rec.histogram("plan.compile_us"),
+    trace_ops: rec.counter("plan.trace_ops"),
+});
+
+/// Which per-op events an observed run emits (see [`OP_EVENT_BUDGET`]).
+struct Narration<'a> {
+    rec: &'a Recorder,
+    /// Stepped repetitions of the run.
+    emit_reps: u64,
+    /// Rows narrated, counted thread-major, latest repetition first.
+    rows: u64,
+    /// Events left in the budget (a row can exceed it on long bodies).
+    left: u64,
+    /// Store-buffer drains seen in the stepped repetitions (all
+    /// threads), added to the counter once at the end of the run.
+    drains: u64,
+}
+
+impl<'a> Narration<'a> {
+    fn new(rec: &'a Recorder, body: &[CpuOp], emit_reps: u64) -> Self {
+        let flushes = body.iter().filter(|op| matches!(op, CpuOp::Flush)).count() as u64;
+        let row_events = (body.len() as u64 + flushes).max(1);
+        Narration {
+            rec,
+            emit_reps,
+            rows: (OP_EVENT_BUDGET / row_events).max(1),
+            left: OP_EVENT_BUDGET,
+            drains: 0,
+        }
+    }
+
+    /// Whether thread `tid`'s next event in `rep` is emitted (taking it
+    /// from the budget).
+    fn take(&mut self, tid: usize, rep: u64) -> bool {
+        let row = tid as u64 * self.emit_reps + (self.emit_reps - 1 - rep);
+        if row < self.rows && self.left > 0 {
+            self.left -= 1;
+            true
+        } else {
+            false
+        }
+    }
+}
 
 /// Outcome of one engine run: per-thread virtual nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,10 +131,11 @@ pub fn run(
 }
 
 /// [`run`] with an explicit [`Recorder`]. With recording enabled this
-/// emits, under category `cpu_sim`: an `engine_run` span, one per-op
-/// instant (tagged `tid`/`rep`/`idx`/`cost_ns`) for each of the first
-/// [`OBSERVED_REPS`] repetitions, and `store_buffer_drain` instants at
-/// fences — plus the `cpu_sim.barrier_rounds`,
+/// emits, under category `cpu_sim`: an `engine_run` span, and per-op
+/// instants (tagged `tid`/`rep`/`idx`/`cost_ns`) and
+/// `store_buffer_drain` instants at fences for the first
+/// [`OBSERVED_REPS`] repetitions, within [`OP_EVENT_BUDGET`] — plus
+/// the `cpu_sim.barrier_rounds`,
 /// `cpu_sim.mesi_transitions` (analytic coherence-transaction count
 /// derived from the contention map) and `cpu_sim.store_buffer_drains`
 /// counters and the `cpu_sim.arb_queue_depth_max` high-water gauge. A
@@ -134,14 +208,21 @@ fn run_impl(
     let contention = ContentionMap::analyze(body, placement, 64);
     let plan = RunPlan::compile(model, placement, &contention, body);
 
-    let mut span = rec.span("cpu_sim", "engine_run");
-    span.push_arg("threads", n);
-    span.push_arg("ops", body.len());
-    span.push_arg("reps", reps);
-    rec.counter("cpu_sim.engine_runs").inc();
+    let _span = rec.span_with("cpu_sim", || {
+        (
+            "engine_run",
+            vec![
+                ("threads", ArgValue::from(n)),
+                ("ops", ArgValue::from(body.len())),
+                ("reps", ArgValue::from(reps)),
+            ],
+        )
+    });
     let enabled = rec.is_enabled();
+    let metrics = METRICS.get(rec);
+    metrics.engine_runs.inc();
     if enabled {
-        record_coherence_profile(model, placement, &contention, body, reps, rec);
+        record_coherence_profile(model, placement, &contention, body, reps, &metrics);
     }
 
     let mut s = Scratch {
@@ -155,6 +236,7 @@ fn run_impl(
     };
     let mut barrier_episodes = 0u64;
     let emit_reps = if enabled { OBSERVED_REPS.min(reps) } else { 0 };
+    let mut narration = Narration::new(rec, body, emit_reps);
     let has_barriers = plan.barriers_per_rep() > 0;
     let mut have_prev = false;
 
@@ -167,17 +249,10 @@ fn run_impl(
     let mut rep = 0u64;
     while rep < reps {
         if force_full || rep < emit_reps {
-            step_rep(
-                &plan,
-                body,
-                &mut s,
-                rec,
-                rep < emit_reps,
-                rep,
-                &mut barrier_episodes,
-            );
+            let narrate = (rep < emit_reps).then_some(&mut narration);
+            step_rep(&plan, body, &mut s, narrate, rep, &mut barrier_episodes);
         } else {
-            let tr = trace.get_or_insert_with(|| compile_trace(&plan, rec, enabled));
+            let tr = trace.get_or_insert_with(|| compile_trace(&plan, &metrics, enabled));
             barrier_episodes += tr.step_rep(&mut s.t, &mut s.pending, &mut s.order);
         }
         rep += 1;
@@ -219,7 +294,8 @@ fn run_impl(
             break;
         }
     }
-    rec.counter("cpu_sim.barrier_rounds").add(barrier_episodes);
+    metrics.barrier_rounds.add(barrier_episodes);
+    metrics.store_buffer_drains.add(narration.drains);
 
     Ok(EngineResult {
         per_thread_ns: s.t.iter().map(|&u| units_to_ns(u)).collect(),
@@ -229,26 +305,27 @@ fn run_impl(
 
 /// Lowers the plan to a flat trace, recording `plan.compile_us` and
 /// `plan.trace_ops` when observation is on.
-fn compile_trace(plan: &RunPlan, rec: &Recorder, enabled: bool) -> OpTrace {
+fn compile_trace(plan: &RunPlan, metrics: &Metrics, enabled: bool) -> OpTrace {
     if !enabled {
         return OpTrace::compile(plan);
     }
     let start = std::time::Instant::now();
     let tr = OpTrace::compile(plan);
-    rec.histogram("plan.compile_us")
+    metrics
+        .compile_us
         .observe(start.elapsed().as_micros() as u64);
-    rec.counter("plan.trace_ops").add(tr.trace_ops() as u64);
+    metrics.trace_ops.add(tr.trace_ops() as u64);
     tr
 }
 
 /// Steps one full repetition for all threads: segment by segment with a
-/// rendezvous after every segment but the last.
+/// rendezvous after every segment but the last. `narrate` is set for
+/// the stepped repetitions of an observed run.
 fn step_rep(
     plan: &RunPlan,
     body: &[CpuOp],
     s: &mut Scratch,
-    rec: &Recorder,
-    emit: bool,
+    mut narrate: Option<&mut Narration>,
     rep: u64,
     barrier_episodes: &mut u64,
 ) {
@@ -256,7 +333,7 @@ fn step_rep(
     let last = segments.len() - 1;
     for (seg_idx, &(start, end)) in segments.iter().enumerate() {
         for tid in 0..plan.threads() {
-            step_ops(plan, body, tid, start, end, s, rec, emit, rep);
+            step_ops(plan, body, tid, start, end, s, narrate.as_deref_mut(), rep);
         }
         if seg_idx < last {
             rendezvous(plan, &mut s.t, &mut s.order);
@@ -274,8 +351,7 @@ fn step_ops(
     start: usize,
     end: usize,
     s: &mut Scratch,
-    rec: &Recorder,
-    emit: bool,
+    mut narrate: Option<&mut Narration>,
     rep: u64,
 ) {
     let t = &mut s.t[tid];
@@ -296,30 +372,39 @@ fn step_ops(
                 let drain = pending.saturating_sub(*t);
                 *t += base + drain;
                 *pending = *t;
-                if emit && drain > 0 {
-                    rec.counter("cpu_sim.store_buffer_drains").inc();
-                    rec.instant_args(
-                        "cpu_sim",
-                        "store_buffer_drain",
-                        vec![
-                            ("tid", ArgValue::from(tid)),
-                            ("drain_ns", ArgValue::F64(units_to_ns(drain))),
-                        ],
-                    );
+                if let Some(n) = narrate.as_deref_mut() {
+                    if drain > 0 {
+                        n.drains += 1;
+                        if n.take(tid, rep) {
+                            n.rec.instant_with("cpu_sim", || {
+                                (
+                                    "store_buffer_drain",
+                                    vec![
+                                        ("tid", ArgValue::from(tid)),
+                                        ("drain_ns", ArgValue::F64(units_to_ns(drain))),
+                                    ],
+                                )
+                            });
+                        }
+                    }
                 }
             }
         }
-        if emit {
-            rec.instant_args(
-                "cpu_sim.op",
-                format!("{op:?}"),
-                vec![
-                    ("tid", ArgValue::from(tid)),
-                    ("rep", ArgValue::from(rep)),
-                    ("idx", ArgValue::from(idx)),
-                    ("cost_ns", ArgValue::F64(units_to_ns(*t - before))),
-                ],
-            );
+        if let Some(n) = narrate.as_deref_mut() {
+            if n.take(tid, rep) {
+                let cost = *t - before;
+                n.rec.instant_with("cpu_sim.op", || {
+                    (
+                        format!("{op:?}"),
+                        vec![
+                            ("tid", ArgValue::from(tid)),
+                            ("rep", ArgValue::from(rep)),
+                            ("idx", ArgValue::from(idx)),
+                            ("cost_ns", ArgValue::F64(units_to_ns(cost))),
+                        ],
+                    )
+                });
+            }
         }
     }
 }
@@ -348,10 +433,10 @@ fn record_coherence_profile(
     contention: &ContentionMap,
     body: &[CpuOp],
     reps: u64,
-    rec: &Recorder,
+    metrics: &Metrics,
 ) {
-    let arb = rec.gauge("cpu_sim.arb_queue_depth_max");
     let mut transitions = 0u64;
+    let mut depth_max = 0u64;
     let mut lines: Vec<(crate::memline::LineId, bool)> = Vec::with_capacity(2);
     for tid in 0..placement.len() {
         let core = placement.slot(tid).core;
@@ -372,14 +457,15 @@ fn record_coherence_profile(
             }
             for &(line, write) in &lines {
                 let (c, _) = contention.contenders(line, core, write);
-                arb.record(u64::from(c.min(model.contention_sat)));
+                depth_max = depth_max.max(u64::from(c.min(model.contention_sat)));
                 if c > 0 {
                     transitions += reps;
                 }
             }
         }
     }
-    rec.counter("cpu_sim.mesi_transitions").add(transitions);
+    metrics.arb_queue_depth_max.record(depth_max);
+    metrics.mesi_transitions.add(transitions);
 }
 
 #[cfg(test)]

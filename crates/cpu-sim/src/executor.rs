@@ -61,9 +61,11 @@ pub struct CpuSimExecutor {
     /// Most-recent-first memo of engine runs. The engine is fully
     /// deterministic given `(body, threads, affinity, reps)` — the
     /// model and system are fixed at construction — so the protocol's
-    /// repeated identical executions reuse one simulation. Bypassed
-    /// whenever a recorder is live (observed runs must re-emit their
-    /// trace events).
+    /// repeated identical executions reuse one simulation, observed or
+    /// not: an observed executor's trace events and `cpu_sim.*`
+    /// counters describe the engine runs it actually performed. The
+    /// scheduler builds one executor per job, so what is recorded
+    /// depends only on the job.
     cache: Vec<CacheEntry>,
 }
 
@@ -143,9 +145,8 @@ impl CpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache (recorder known to be
-    /// disabled). Hits move to the front; misses evict the oldest entry
-    /// beyond [`ENGINE_CACHE_CAP`].
+    /// Runs the engine through the memo cache. Hits move to the front;
+    /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[CpuOp], params: &ExecParams) -> Result<(EngineResult, bool)> {
         let reps = params.timed_reps();
         if let Some(pos) = self.cache.iter().position(|e| {
@@ -189,8 +190,9 @@ impl CpuSimExecutor {
     /// pass ([`crate::trace::run_batch`]) and hands each job its
     /// slice; the protocol's executions then hit the memo instead of
     /// re-simulating. Priming is invisible to results: the engine is
-    /// deterministic, the memo is bypassed whenever a recorder is
-    /// live, and jitter is drawn after the (possibly memoized) run.
+    /// deterministic and jitter is drawn after the (possibly memoized)
+    /// run. A primed executor records no engine runs for the primed
+    /// bodies, so the scheduler does not prime under a recorder.
     pub fn prime_engine(&mut self, body: &[CpuOp], params: &ExecParams, result: EngineResult) {
         let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
         self.cache.insert(
@@ -226,22 +228,7 @@ impl Executor for CpuSimExecutor {
                 "the CPU simulator runs a single team (blocks must be 1)".into(),
             ));
         }
-        let (result, uses_hyperthreads) = if self.effective_recorder().is_enabled() {
-            // Observed runs bypass the memo so every execution re-emits
-            // its trace events and counters.
-            let placement = Placement::new(&self.system.cpu, params.affinity, params.threads);
-            let r = engine::run_observed(
-                &self.model,
-                &placement,
-                body,
-                params.timed_reps(),
-                self.effective_recorder(),
-            )?;
-            let ht = placement.uses_hyperthreads();
-            (r, ht)
-        } else {
-            self.cached_run(body, params)?
-        };
+        let (result, uses_hyperthreads) = self.cached_run(body, params)?;
 
         // Timing jitter: one run-wide component (OS/system noise hits
         // the whole measurement — it survives the max-across-threads)
@@ -376,8 +363,8 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and an observed (cache-bypassing)
-        // executor with the same jitter seed must agree bit-for-bit.
+        // An unobserved executor and an observed one with the same
+        // jitter seed must agree bit-for-bit.
         let body_a = kernel::omp_atomic_update_scalar(DType::I32).baseline;
         let body_b = kernel::omp_atomic_update_scalar(DType::I32).test;
         let mut cached = CpuSimExecutor::with_seed(&SYSTEM3, 7);

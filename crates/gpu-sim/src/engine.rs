@@ -14,12 +14,36 @@
 //! exact integer multiply, bit-identical to stepping every repetition
 //! ([`run_full_stepping`] is the oracle that does exactly that).
 
-use syncperf_core::obs::{ArgValue, Recorder};
+use syncperf_core::obs::{ArgValue, Counter, Handles, Recorder};
 use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError, Target};
 
 use crate::config::GpuModel;
 use crate::cost::{self, AtomicKind};
 use crate::occupancy::Occupancy;
+
+/// `atomic_conflict` instants one observed engine run may emit (the
+/// first contended atomic ops of the body, in body order). The count
+/// is a pure function of the body, so identical passes record
+/// identical events; the `gpu_sim.atomic_conflicts` counter still
+/// counts every conflict.
+pub const OP_EVENT_BUDGET: u64 = 2;
+
+/// The engine's metric handles, resolved once per process for the
+/// global recorder (see [`Handles`]).
+#[derive(Debug, Clone)]
+struct Metrics {
+    launches: Counter,
+    blocks_scheduled: Counter,
+    warps_scheduled: Counter,
+    atomic_conflicts: Counter,
+}
+
+static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
+    launches: rec.counter("gpu_sim.launches"),
+    blocks_scheduled: rec.counter("gpu_sim.blocks_scheduled"),
+    warps_scheduled: rec.counter("gpu_sim.warps_scheduled"),
+    atomic_conflicts: rec.counter("gpu_sim.atomic_conflicts"),
+});
 
 /// log₂ of the number of fixed-point units per cycle.
 pub const SCALE_BITS: u32 = 20;
@@ -147,7 +171,8 @@ pub fn run(m: &GpuModel, occ: &Occupancy, body: &[GpuOp], reps: u64) -> Result<G
 /// [`run`] with an explicit [`Recorder`]. With recording enabled this
 /// emits, under category `gpu_sim`: a `kernel_launch` span carrying
 /// block/warp scheduling arguments, and an `atomic_conflict` instant
-/// per device-wide-contended atomic op in the body — plus the
+/// per device-wide-contended atomic op in the body (at most
+/// [`OP_EVENT_BUDGET`]) — plus the
 /// `gpu_sim.launches`, `gpu_sim.blocks_scheduled`,
 /// `gpu_sim.warps_scheduled` and `gpu_sim.atomic_conflicts` counters.
 /// A disabled recorder costs one branch per site.
@@ -214,16 +239,24 @@ fn analyze_body(
     if reps == 0 {
         return Err(SyncPerfError::InvalidParams("reps must be > 0".into()));
     }
-    let mut span = rec.span("gpu_sim", "kernel_launch");
-    span.push_arg("blocks", u64::from(occ.blocks));
-    span.push_arg("threads_per_block", u64::from(occ.threads_per_block));
-    span.push_arg("resident_warps", u64::from(occ.total_resident_warps));
-    span.push_arg("waves", u64::from(occ.waves));
-    rec.counter("gpu_sim.launches").inc();
-    rec.counter("gpu_sim.blocks_scheduled")
-        .add(u64::from(occ.blocks));
-    rec.counter("gpu_sim.warps_scheduled")
+    let mut span = rec.span_with("gpu_sim", || {
+        (
+            "kernel_launch",
+            vec![
+                ("blocks", ArgValue::from(occ.blocks)),
+                ("threads_per_block", ArgValue::from(occ.threads_per_block)),
+                ("resident_warps", ArgValue::from(occ.total_resident_warps)),
+                ("waves", ArgValue::from(occ.waves)),
+            ],
+        )
+    });
+    let metrics = METRICS.get(rec);
+    metrics.launches.inc();
+    metrics.blocks_scheduled.add(u64::from(occ.blocks));
+    metrics
+        .warps_scheduled
         .add(u64::from(occ.blocks) * u64::from(occ.warps_per_block));
+    let mut events_left = OP_EVENT_BUDGET;
 
     let total_threads = u64::from(occ.blocks) * u64::from(occ.threads_per_block);
     let mut units_per_rep = 0u64;
@@ -243,18 +276,19 @@ fn analyze_body(
         // conflict, every repetition.
         if let Some((_, _, _, target)) = cost::atomic_kind(op) {
             if matches!(target, Target::SharedScalar(_)) && total_threads > 1 {
-                rec.counter("gpu_sim.atomic_conflicts")
-                    .add((total_threads - 1) * reps);
-                if rec.is_enabled() {
-                    rec.instant_args(
-                        "gpu_sim",
-                        "atomic_conflict",
-                        vec![
-                            ("op_idx", ArgValue::from(idx)),
-                            ("threads", ArgValue::U64(total_threads)),
-                            ("reps", ArgValue::U64(reps)),
-                        ],
-                    );
+                metrics.atomic_conflicts.add((total_threads - 1) * reps);
+                if rec.is_enabled() && events_left > 0 {
+                    events_left -= 1;
+                    rec.instant_with("gpu_sim", || {
+                        (
+                            "atomic_conflict",
+                            vec![
+                                ("op_idx", ArgValue::from(idx)),
+                                ("threads", ArgValue::U64(total_threads)),
+                                ("reps", ArgValue::U64(reps)),
+                            ],
+                        )
+                    });
                 }
             }
         }

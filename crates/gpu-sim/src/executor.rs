@@ -57,11 +57,12 @@ pub struct GpuSimExecutor {
     rng: SplitMix64,
     recorder: syncperf_core::obs::Recorder,
     /// Most-recent-first memo of engine runs. The engine is fully
-    /// deterministic given `(body, blocks, threads, reps)`; bypassed
-    /// whenever a recorder is live (observed runs must re-emit their
-    /// launch spans and counters). The jitter RNG is only consumed for
-    /// system-fence bodies and draws from the memoized result exactly
-    /// as from a fresh run, so memoization never changes measurements.
+    /// deterministic given `(body, blocks, threads, reps)`, so the
+    /// memo is used observed or not: launch spans and `gpu_sim.*`
+    /// counters describe the engine runs actually performed. The
+    /// jitter RNG is only consumed for system-fence bodies and draws
+    /// from the memoized result exactly as from a fresh run, so
+    /// memoization never changes measurements.
     cache: Vec<CacheEntry>,
 }
 
@@ -146,9 +147,8 @@ impl GpuSimExecutor {
         }
     }
 
-    /// Runs the engine through the memo cache (recorder known to be
-    /// disabled). Hits move to the front; misses evict the oldest entry
-    /// beyond [`ENGINE_CACHE_CAP`].
+    /// Runs the engine through the memo cache. Hits move to the front;
+    /// misses evict the oldest entry beyond [`ENGINE_CACHE_CAP`].
     fn cached_run(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<GpuEngineResult> {
         let reps = params.timed_reps();
         if let Some(pos) = self.cache.iter().position(|e| {
@@ -216,20 +216,7 @@ impl Executor for GpuSimExecutor {
 
     fn execute(&mut self, body: &[GpuOp], params: &ExecParams) -> Result<ThreadTimes> {
         params.validate()?;
-        let result = if self.effective_recorder().is_enabled() {
-            // Observed runs bypass the memo so every execution re-emits
-            // its launch span and counters.
-            let occ = Occupancy::compute(&self.system.gpu, params.blocks, params.threads)?;
-            engine::run_observed(
-                &self.model,
-                &occ,
-                body,
-                params.timed_reps(),
-                self.effective_recorder(),
-            )?
-        } else {
-            self.cached_run(body, params)?
-        };
+        let result = self.cached_run(body, params)?;
         let total = result.total_cycles();
         #[allow(clippy::cast_possible_truncation)]
         let n = result.total_threads as usize;
@@ -352,8 +339,8 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // A cache-hitting executor and an observed (cache-bypassing)
-        // executor with the same jitter seed must agree bit-for-bit —
+        // An unobserved executor and an observed one with the same
+        // jitter seed must agree bit-for-bit —
         // including for system-fence bodies, whose jitter RNG draws
         // from the memoized result exactly as from a fresh run.
         let fenced = kernel::cuda_threadfence(Scope::System, DType::I32, 1).test;

@@ -12,6 +12,16 @@
 //! bounded and count drops instead of blocking) and bumps shared
 //! [`Counter`]/[`Gauge`] cells.
 //!
+//! Observation is paid for only where it is kept. The `*_with` methods
+//! ([`Recorder::instant_with`], [`Recorder::span_with`]) take a closure
+//! that builds the event's name and arguments, and run it only when the
+//! thread's ring has room; a full ring counts the drop and builds
+//! nothing. Looking up an already-registered counter, gauge or
+//! histogram by name takes a shared read lock and allocates nothing,
+//! and [`Handles`] resolves a hot path's handles once per process
+//! against the installed global recorder, so the path itself touches
+//! only atomics.
+//!
 //! At the end of a run, [`Recorder::drain_events`] merges the rings
 //! into one time-ordered stream and [`Recorder::snapshot`] freezes the
 //! counter registry; [`sink`] turns either into JSONL, Chrome
@@ -52,8 +62,8 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Default per-thread event capacity (events beyond it are dropped and
@@ -148,19 +158,71 @@ pub struct Event {
 struct ThreadRing {
     tid: u64,
     events: Mutex<Vec<Event>>,
+    /// Mirror of `events.len()`, so the owning thread sees a full ring
+    /// before it builds an event, without taking the lock.
+    len: AtomicUsize,
     dropped: AtomicU64,
     capacity: usize,
 }
 
 impl ThreadRing {
+    fn has_room(&self) -> bool {
+        self.len.load(Ordering::Relaxed) < self.capacity
+    }
+
+    fn count_drop(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn push(&self, event: Event) {
         let mut buf = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         if buf.len() < self.capacity {
             buf.push(event);
+            self.len.store(buf.len(), Ordering::Relaxed);
         } else {
             drop(buf);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.count_drop();
         }
+    }
+
+    /// Moves every buffered event into `out`, leaving the ring empty
+    /// (its allocation is kept for the next pass).
+    fn drain_into(&self, out: &mut Vec<Event>) {
+        let mut buf = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        out.append(&mut buf);
+        self.len.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A name → cell registry. Looking up a registered name takes a shared
+/// read lock and allocates nothing; only the first registration of a
+/// name copies it, under the write lock.
+#[derive(Debug)]
+struct Registry<V> {
+    map: RwLock<BTreeMap<String, V>>,
+}
+
+impl<V: Clone> Registry<V> {
+    fn new() -> Self {
+        Registry {
+            map: RwLock::new(BTreeMap::new()),
+        }
+    }
+
+    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.read().get(name) {
+            return v.clone();
+        }
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(name.to_string())
+            .or_insert_with(make)
+            .clone()
+    }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, V>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -175,9 +237,9 @@ struct Inner {
     capacity: usize,
     next_tid: AtomicU64,
     rings: Mutex<Vec<Arc<ThreadRing>>>,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, (Arc<AtomicU64>, GaugeMode)>>,
-    histograms: Mutex<BTreeMap<String, Arc<hist::HistCells>>>,
+    counters: Registry<Arc<AtomicU64>>,
+    gauges: Registry<(Arc<AtomicU64>, GaugeMode)>,
+    histograms: Registry<Arc<hist::HistCells>>,
 }
 
 /// Source of process-unique recorder ids.
@@ -226,9 +288,9 @@ impl Recorder {
                 capacity: capacity.max(1),
                 next_tid: AtomicU64::new(0),
                 rings: Mutex::new(Vec::new()),
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
+                counters: Registry::new(),
+                gauges: Registry::new(),
+                histograms: Registry::new(),
             })),
         }
     }
@@ -260,6 +322,7 @@ impl Recorder {
             let ring = Arc::new(ThreadRing {
                 tid: inner.next_tid.fetch_add(1, Ordering::Relaxed),
                 events: Mutex::new(Vec::new()),
+                len: AtomicUsize::new(0),
                 dropped: AtomicU64::new(0),
                 capacity: inner.capacity,
             });
@@ -273,9 +336,17 @@ impl Recorder {
         })
     }
 
+    /// Whether this is the recorder [`install`]ed as the global one.
+    fn is_installed_global(&self) -> bool {
+        match (&self.inner, GLOBAL.get().and_then(|g| g.inner.as_ref())) {
+            (Some(mine), Some(global)) => Arc::ptr_eq(mine, global),
+            _ => false,
+        }
+    }
+
     /// Records an instant event with no arguments.
     pub fn instant(&self, cat: &'static str, name: impl Into<Cow<'static, str>>) {
-        self.instant_args(cat, name, Vec::new());
+        self.instant_with(cat, || (name, Vec::new()));
     }
 
     /// Records an instant event with arguments.
@@ -285,10 +356,28 @@ impl Recorder {
         name: impl Into<Cow<'static, str>>,
         args: Vec<(&'static str, ArgValue)>,
     ) {
+        self.instant_with(cat, || (name, args));
+    }
+
+    /// Records an instant event whose name and arguments `build`
+    /// produces. `build` runs only when this thread's ring has room; a
+    /// full ring counts the drop without running it, so a dropped
+    /// event costs no formatting and no allocation.
+    pub fn instant_with<N: Into<Cow<'static, str>>>(
+        &self,
+        cat: &'static str,
+        build: impl FnOnce() -> (N, Vec<(&'static str, ArgValue)>),
+    ) {
         if let Some(inner) = &self.inner {
             let ring = Self::ring(inner);
+            if !ring.has_room() {
+                ring.count_drop();
+                return;
+            }
+            let ts_ns = inner.start.elapsed().as_nanos() as u64;
+            let (name, args) = build();
             ring.push(Event {
-                ts_ns: inner.start.elapsed().as_nanos() as u64,
+                ts_ns,
                 dur_ns: None,
                 cat,
                 name: name.into(),
@@ -301,7 +390,7 @@ impl Recorder {
     /// Opens a span; the event is recorded when the guard drops.
     #[must_use = "the span is recorded when the guard drops"]
     pub fn span(&self, cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-        self.span_args(cat, name, Vec::new())
+        self.span_with(cat, || (name, Vec::new()))
     }
 
     /// Opens a span with arguments attached up front.
@@ -312,12 +401,36 @@ impl Recorder {
         name: impl Into<Cow<'static, str>>,
         args: Vec<(&'static str, ArgValue)>,
     ) -> Span {
+        self.span_with(cat, || (name, args))
+    }
+
+    /// Opens a span whose name and initial arguments `build` produces.
+    /// `build` runs only when this thread's ring has room as the span
+    /// opens; otherwise the span is dead — it builds nothing, ignores
+    /// [`Span::push_arg`], and counts one drop when it closes.
+    #[must_use = "the span is recorded when the guard drops"]
+    pub fn span_with<N: Into<Cow<'static, str>>>(
+        &self,
+        cat: &'static str,
+        build: impl FnOnce() -> (N, Vec<(&'static str, ArgValue)>),
+    ) -> Span {
+        let live = self
+            .inner
+            .as_ref()
+            .is_some_and(|inner| Self::ring(inner).has_room());
+        let (name, args) = if live {
+            let (name, args) = build();
+            (name.into(), args)
+        } else {
+            (Cow::Borrowed(""), Vec::new())
+        };
         Span {
             rec: self.clone(),
             cat,
-            name: name.into(),
+            name,
             start_ns: self.now_ns(),
             args,
+            live,
         }
     }
 
@@ -328,11 +441,7 @@ impl Recorder {
             cell: self.inner.as_ref().map(|inner| {
                 inner
                     .counters
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                    .clone()
+                    .get_or_insert(name, || Arc::new(AtomicU64::new(0)))
             }),
         }
     }
@@ -359,11 +468,7 @@ impl Recorder {
             Some(inner) => {
                 let (cell, mode) = inner
                     .gauges
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| (Arc::new(AtomicU64::new(0)), want))
-                    .clone();
+                    .get_or_insert(name, || (Arc::new(AtomicU64::new(0)), want));
                 Gauge {
                     cell: Some(cell),
                     mode,
@@ -383,11 +488,7 @@ impl Recorder {
             cells: self.inner.as_ref().map(|inner| {
                 inner
                     .histograms
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(hist::HistCells::new()))
-                    .clone()
+                    .get_or_insert(name, || Arc::new(hist::HistCells::new()))
             }),
         }
     }
@@ -397,31 +498,16 @@ impl Recorder {
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
         if let Some(inner) = &self.inner {
-            for (name, cell) in inner
-                .counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-            {
+            for (name, cell) in inner.counters.read().iter() {
                 snap.counters
                     .insert(name.clone(), cell.load(Ordering::Relaxed));
             }
-            for (name, (cell, mode)) in inner
-                .gauges
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-            {
+            for (name, (cell, mode)) in inner.gauges.read().iter() {
                 snap.gauges
                     .insert(name.clone(), cell.load(Ordering::Relaxed));
                 snap.gauge_modes.insert(name.clone(), *mode);
             }
-            for (name, cells) in inner
-                .histograms
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-            {
+            for (name, cells) in inner.histograms.read().iter() {
                 snap.histograms.insert(name.clone(), cells.snapshot());
             }
             for ring in inner
@@ -452,7 +538,7 @@ impl Recorder {
                 .unwrap_or_else(PoisonError::into_inner)
                 .iter()
             {
-                all.append(&mut ring.events.lock().unwrap_or_else(PoisonError::into_inner));
+                ring.drain_into(&mut all);
             }
         }
         all.sort_by_key(|e| e.ts_ns);
@@ -483,12 +569,16 @@ pub struct Span {
     name: Cow<'static, str>,
     start_ns: u64,
     args: Vec<(&'static str, ArgValue)>,
+    /// Whether the event was built (the recorder is enabled and the
+    /// ring had room when the span opened).
+    live: bool,
 }
 
 impl Span {
-    /// Attaches an argument to the span before it closes.
+    /// Attaches an argument to the span before it closes (a no-op on a
+    /// disabled or dead span).
     pub fn push_arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if self.rec.is_enabled() {
+        if self.live {
             self.args.push((key, value.into()));
         }
     }
@@ -499,6 +589,10 @@ impl Drop for Span {
         if let Some(inner) = &self.rec.inner {
             let end = inner.start.elapsed().as_nanos() as u64;
             let ring = Recorder::ring(inner);
+            if !self.live || !ring.has_room() {
+                ring.count_drop();
+                return;
+            }
             ring.push(Event {
                 ts_ns: self.start_ns,
                 dur_ns: Some(end.saturating_sub(self.start_ns)),
@@ -689,6 +783,59 @@ impl Snapshot {
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
+/// A hot path's metric handles, resolved once per process against the
+/// installed global recorder.
+///
+/// Components handed a `&Recorder` per call (an engine run, a protocol
+/// measurement) keep a `static` of this type and call [`Handles::get`]:
+/// for the [`install`]ed global recorder the handles are looked up by
+/// name once and then shared, so the path touches only atomics; for any
+/// other recorder they are looked up afresh (a disabled recorder's
+/// handles are inert and free to build).
+///
+/// ```
+/// use syncperf_obs::{Counter, Handles, Recorder};
+///
+/// static RUNS: Handles<Counter> = Handles::new(|rec| rec.counter("demo.runs"));
+///
+/// let rec = Recorder::enabled();
+/// RUNS.get(&rec).inc();
+/// assert_eq!(rec.snapshot().counter("demo.runs"), 1);
+/// ```
+pub struct Handles<T> {
+    init: fn(&Recorder) -> T,
+    global: OnceLock<T>,
+}
+
+impl<T: Clone> Handles<T> {
+    /// Handles built by `init` from a recorder.
+    #[must_use]
+    pub const fn new(init: fn(&Recorder) -> T) -> Self {
+        Handles {
+            init,
+            global: OnceLock::new(),
+        }
+    }
+
+    /// The handles for `rec`: shared when `rec` is the installed global
+    /// recorder, freshly resolved otherwise.
+    pub fn get(&self, rec: &Recorder) -> Cow<'_, T> {
+        if rec.is_installed_global() {
+            Cow::Borrowed(self.global.get_or_init(|| (self.init)(rec)))
+        } else {
+            Cow::Owned((self.init)(rec))
+        }
+    }
+}
+
+impl<T> fmt::Debug for Handles<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Handles")
+            .field("resolved", &self.global.get().is_some())
+            .finish()
+    }
+}
+
 /// Installs `rec` as the process-global recorder consulted by
 /// components that were not handed an explicit one. Returns `false` if
 /// a global recorder was already installed (the existing one stays).
@@ -799,6 +946,58 @@ mod tests {
         assert_eq!(rec.drain_events().len(), 8);
         assert_eq!(rec.dropped_events(), 12);
         assert_eq!(rec.snapshot().dropped_events, 12);
+    }
+
+    #[test]
+    fn full_ring_never_builds_the_event() {
+        let rec = Recorder::with_capacity(2);
+        let mut built = 0;
+        for _ in 0..5 {
+            rec.instant_with("t", || {
+                built += 1;
+                ("e", vec![("k", ArgValue::U64(1))])
+            });
+        }
+        assert_eq!(built, 2, "only events that fit are built");
+        assert_eq!(rec.dropped_events(), 3);
+        // A span opened on a full ring is dead: its closure never runs,
+        // pushed args are ignored, and closing it counts one drop.
+        let mut span = rec.span_with("t", || -> (&'static str, Vec<_>) {
+            panic!("a full ring must not build the span")
+        });
+        span.push_arg("ignored", 1u64);
+        drop(span);
+        assert_eq!(rec.dropped_events(), 4);
+        // Draining frees the room again.
+        assert_eq!(rec.drain_events().len(), 2);
+        rec.instant_with("t", || ("again", Vec::new()));
+        assert_eq!(rec.drain_events().len(), 1);
+    }
+
+    #[test]
+    fn registered_names_resolve_to_the_same_cell() {
+        let rec = Recorder::enabled();
+        let a = rec.counter("x");
+        let b = rec.counter("x");
+        a.add(2);
+        b.add(3);
+        assert_eq!(a.get(), 5);
+        assert_eq!(rec.snapshot().counters.len(), 1);
+    }
+
+    #[test]
+    fn handles_resolve_fresh_for_a_non_global_recorder() {
+        static RUNS: Handles<Counter> = Handles::new(|rec| rec.counter("runs"));
+        let (a, b) = (Recorder::enabled(), Recorder::enabled());
+        RUNS.get(&a).inc();
+        RUNS.get(&b).add(2);
+        RUNS.get(&Recorder::disabled()).inc();
+        assert_eq!(a.snapshot().counter("runs"), 1);
+        assert_eq!(b.snapshot().counter("runs"), 2);
+        assert!(
+            matches!(RUNS.get(&a), Cow::Owned(_)),
+            "only the global is shared"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use syncperf_core::obs::{self, Histogram, Snapshot};
+use syncperf_core::obs::{self, Counter, Gauge, Handles, Histogram, Snapshot};
 use syncperf_core::{Measurement, Result, SyncPerfError};
 
 use crate::cache::Cache;
@@ -31,8 +31,47 @@ pub const SCHED_SALT: &str = "syncperf-sched-v2";
 
 /// Attempt budget per job: the initial execution plus up to two
 /// reattempts (for transient errors or runs that exhausted the
-/// protocol's own attempt budget), with exponential backoff between.
+/// protocol's own attempt budget). Real-thread jobs and I/O errors back
+/// off exponentially between attempts; a simulator job's reattempt is
+/// a deterministic reseed and runs at once.
 pub const MAX_EXECUTE_ATTEMPTS: u32 = 3;
+
+/// The scheduler's metric handles in the global recorder, resolved once
+/// per process (see [`Handles`]).
+#[derive(Debug, Clone)]
+struct Metrics {
+    jobs: Counter,
+    jobs_executed: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_stores: Counter,
+    resumed: Counter,
+    retries: Counter,
+    steals: Counter,
+    queue_depth: Gauge,
+    queue_depth_peak: Gauge,
+    wait_us: Histogram,
+    service_hit_us: Histogram,
+    service_miss_us: Histogram,
+    batch_size: Histogram,
+}
+
+static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
+    jobs: rec.counter("sched.jobs"),
+    jobs_executed: rec.counter("sched.jobs_executed"),
+    cache_hits: rec.counter("sched.cache_hits"),
+    cache_misses: rec.counter("sched.cache_misses"),
+    cache_stores: rec.counter("sched.cache_stores"),
+    resumed: rec.counter("sched.resumed"),
+    retries: rec.counter("sched.retries"),
+    steals: rec.counter("sched.steals"),
+    queue_depth: rec.gauge_set("sched.queue_depth"),
+    queue_depth_peak: rec.gauge("sched.queue_depth_peak"),
+    wait_us: rec.histogram("sched.wait_us"),
+    service_hit_us: rec.histogram("sched.service_us.hit"),
+    service_miss_us: rec.histogram("sched.service_us.miss"),
+    batch_size: rec.histogram("plan.batch_size"),
+});
 
 /// The content hash of `job` under the scheduler's hashing scheme:
 /// FNV-1a over the canonical form plus [`SCHED_SALT`] and
@@ -61,14 +100,16 @@ pub fn job_hash_with_salt_cached(
 }
 
 /// Executes one job under the scheduler's retry policy: up to
-/// [`MAX_EXECUTE_ATTEMPTS`] attempts with exponential backoff, retrying
-/// when the result looks faulty (exhausted protocol runs) or the error
-/// is transient. Attempt `k` perturbs the jitter seed as
+/// [`MAX_EXECUTE_ATTEMPTS`] attempts, retrying when the result looks
+/// faulty (exhausted protocol runs) or the error is transient. Only
+/// real-thread jobs and I/O errors sleep `2^k` ms before reattempt
+/// `k + 1`: they wait on the host, while a simulator reattempt is a
+/// pure reseed. Attempt `k` perturbs the jitter seed as
 /// `hash ^ k · 0x9E37_79B9_7F4A_7C15`, so the outcome depends only on
 /// (hash, attempt) — never on which process or worker ran it — which is
 /// what lets a distributed worker reproduce the coordinator's results
 /// bit for bit. `on_retry` is called with the failed attempt number
-/// before each backoff sleep.
+/// before each reattempt.
 ///
 /// # Errors
 ///
@@ -95,12 +136,15 @@ pub fn execute_job_with_retry_primed(
     primed: Option<&PrimedEngine>,
     mut on_retry: impl FnMut(u32),
 ) -> Result<Measurement> {
+    let real_threads = matches!(job, JobSpec::RealOmp { .. });
     let mut attempt = 0u32;
     loop {
         let seed = hash ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut reattempt = |a: u32| {
+        let mut reattempt = |a: u32, backoff: bool| {
             on_retry(a);
-            std::thread::sleep(std::time::Duration::from_millis(1 << a));
+            if backoff {
+                std::thread::sleep(std::time::Duration::from_millis(1 << a));
+            }
         };
         let run = match primed {
             Some(pe) => job.execute_primed(seed, pe),
@@ -109,7 +153,7 @@ pub fn execute_job_with_retry_primed(
         match run {
             Ok(m) => {
                 if m.exhausted_runs > 0 && attempt + 1 < MAX_EXECUTE_ATTEMPTS {
-                    reattempt(attempt);
+                    reattempt(attempt, real_threads);
                     attempt += 1;
                     continue;
                 }
@@ -121,7 +165,7 @@ pub fn execute_job_with_retry_primed(
                     SyncPerfError::MeasurementUnstable { .. } | SyncPerfError::Io(_)
                 );
                 if transient && attempt + 1 < MAX_EXECUTE_ATTEMPTS {
-                    reattempt(attempt);
+                    reattempt(attempt, real_threads || matches!(e, SyncPerfError::Io(_)));
                     attempt += 1;
                     continue;
                 }
@@ -242,6 +286,21 @@ struct Profile {
     /// Per-worker tallies accumulated across batches (indexed by the
     /// pool's worker number; the serial path is worker 0).
     workers: Mutex<Vec<PoolWorkerStats>>,
+}
+
+impl Profile {
+    /// Adds a dispatched batch of `n` jobs to the live depth (batches
+    /// on a shared scheduler may overlap); returns the new depth.
+    fn enqueue(&self, n: u64) -> u64 {
+        let depth = self.pending.fetch_add(n, Ordering::Relaxed) + n;
+        self.pending_peak.fetch_max(depth, Ordering::Relaxed);
+        depth
+    }
+
+    /// Removes `n` finished jobs from the live depth; returns the rest.
+    fn dequeue(&self, n: u64) -> u64 {
+        self.pending.fetch_sub(n, Ordering::Relaxed) - n
+    }
 }
 
 impl Default for Profile {
@@ -630,16 +689,15 @@ impl Scheduler {
     /// only recomputes the failures).
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Result<Vec<Measurement>> {
         let n = jobs.len();
-        let rec = obs::global();
+        let metrics = METRICS.get(obs::global());
         self.stats.jobs.fetch_add(n as u64, Ordering::Relaxed);
-        rec.counter("sched.jobs").add(n as u64);
+        metrics.jobs.add(n as u64);
 
         let mut results: Vec<Option<Measurement>> = Vec::new();
         results.resize_with(n, || None);
         let mut todo: Vec<(usize, JobSpec, u64)> = Vec::new();
         let mut hits = 0u64;
         let mut resumed = 0u64;
-        let hit_hist = rec.histogram("sched.service_us.hit");
         let mut canon = CanonicalCache::default();
         let salt_line = format!("salt={SCHED_SALT}/{}\n", self.cfg.salt_extra);
         for (i, job) in jobs.into_iter().enumerate() {
@@ -657,7 +715,7 @@ impl Scheduler {
                     if m.kernel_name == job.kernel_name() && m.params == *job.params() {
                         let load_us = load_start.elapsed().as_micros() as u64;
                         self.profile.service_hit_us.observe(load_us);
-                        hit_hist.observe(load_us);
+                        metrics.service_hit_us.observe(load_us);
                         hits += 1;
                         if self.resumed_hashes.contains(&h) {
                             resumed += 1;
@@ -671,14 +729,14 @@ impl Scheduler {
             todo.push((i, job, h));
         }
         self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        rec.counter("sched.cache_hits").add(hits);
+        metrics.cache_hits.add(hits);
         self.stats.resumed.fetch_add(resumed, Ordering::Relaxed);
-        rec.counter("sched.resumed").add(resumed);
+        metrics.resumed.add(resumed);
         if self.cache.is_some() {
             self.stats
                 .cache_misses
                 .fetch_add(todo.len() as u64, Ordering::Relaxed);
-            rec.counter("sched.cache_misses").add(todo.len() as u64);
+            metrics.cache_misses.add(todo.len() as u64);
         }
 
         // Backend path: an installed [`ExecBackend`] (the distributed
@@ -690,19 +748,14 @@ impl Scheduler {
             self.stats
                 .executed
                 .fetch_add(todo.len() as u64, Ordering::Relaxed);
-            rec.counter("sched.jobs_executed").add(todo.len() as u64);
-            self.profile
-                .pending
-                .store(todo.len() as u64, Ordering::Relaxed);
-            self.profile
-                .pending_peak
-                .fetch_max(todo.len() as u64, Ordering::Relaxed);
-            rec.gauge_set("sched.queue_depth").set(todo.len() as u64);
-            rec.gauge("sched.queue_depth_peak")
-                .record(todo.len() as u64);
+            metrics.jobs_executed.add(todo.len() as u64);
+            let depth = self.profile.enqueue(todo.len() as u64);
+            metrics.queue_depth.set(depth);
+            metrics.queue_depth_peak.record(depth);
             let mut execs = backend(&todo);
-            self.profile.pending.store(0, Ordering::Relaxed);
-            rec.gauge_set("sched.queue_depth").set(0);
+            metrics
+                .queue_depth
+                .set(self.profile.dequeue(todo.len() as u64));
             execs.sort_by_key(|e| e.index);
             let mut first_err: Option<SyncPerfError> = None;
             for e in execs {
@@ -716,7 +769,7 @@ impl Scheduler {
                             if ok {
                                 self.note_stored(e.hash);
                                 self.stats.cache_stores.fetch_add(1, Ordering::Relaxed);
-                                rec.counter("sched.cache_stores").inc();
+                                metrics.cache_stores.inc();
                                 if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
                                     hook(e.hash, &m);
                                 }
@@ -743,23 +796,14 @@ impl Scheduler {
         // Batch pass: group the miss set by kernel shape and evaluate
         // each parameter sweep through one struct-of-arrays plan table,
         // so workers start from pre-primed engine memos.
-        let primed = self.prepare_primed(&todo);
+        let primed = self.prepare_primed(&todo, &metrics);
 
         // Dispatch: track live queue depth and per-job wait/service
         // latency, mirroring into the global recorder's telemetry.
         let dispatched = Instant::now();
-        let depth_gauge = rec.gauge_set("sched.queue_depth");
-        let peak_gauge = rec.gauge("sched.queue_depth_peak");
-        let wait_hist = rec.histogram("sched.wait_us");
-        let miss_hist = rec.histogram("sched.service_us.miss");
-        self.profile
-            .pending
-            .store(todo.len() as u64, Ordering::Relaxed);
-        self.profile
-            .pending_peak
-            .fetch_max(todo.len() as u64, Ordering::Relaxed);
-        depth_gauge.set(todo.len() as u64);
-        peak_gauge.record(todo.len() as u64);
+        let depth = self.profile.enqueue(todo.len() as u64);
+        metrics.queue_depth.set(depth);
+        metrics.queue_depth_peak.record(depth);
 
         let items: Vec<((usize, JobSpec, u64), Option<PrimedEngine>)> =
             todo.into_iter().zip(primed).collect();
@@ -769,12 +813,12 @@ impl Scheduler {
             |_, ((i, job, h), primed)| {
                 let wait_us = dispatched.elapsed().as_micros() as u64;
                 self.profile.wait_us.observe(wait_us);
-                wait_hist.observe(wait_us);
+                metrics.wait_us.observe(wait_us);
                 let exec_start = Instant::now();
-                let r = self.execute_with_retry(&job, h, primed.as_ref());
+                let r = self.execute_with_retry(&job, h, primed.as_ref(), &metrics);
                 let exec_us = exec_start.elapsed().as_micros() as u64;
                 self.profile.service_miss_us.observe(exec_us);
-                miss_hist.observe(exec_us);
+                metrics.service_miss_us.observe(exec_us);
                 if let Ok(m) = &r {
                     if let Some(cache) = &self.cache {
                         // A read-only cache directory must not fail the
@@ -782,7 +826,7 @@ impl Scheduler {
                         if cache.store(h, m).is_ok() {
                             self.note_stored(h);
                             self.stats.cache_stores.fetch_add(1, Ordering::Relaxed);
-                            obs::global().counter("sched.cache_stores").inc();
+                            metrics.cache_stores.inc();
                             if let Some(hook) = self.store_hook.read().unwrap().as_ref() {
                                 hook(h, m);
                             }
@@ -790,15 +834,14 @@ impl Scheduler {
                     }
                     self.checkpoint.lock().unwrap().record(h);
                 }
-                let left = self.profile.pending.fetch_sub(1, Ordering::Relaxed) - 1;
-                depth_gauge.set(left);
+                metrics.queue_depth.set(self.profile.dequeue(1));
                 (i, r)
             },
         );
         self.stats
             .steals
             .fetch_add(outcome.steals, Ordering::Relaxed);
-        rec.counter("sched.steals").add(outcome.steals);
+        metrics.steals.add(outcome.steals);
         {
             let mut workers = self.profile.workers.lock().unwrap();
             if workers.len() < outcome.per_worker.len() {
@@ -836,23 +879,22 @@ impl Scheduler {
             .expect("one job in, one measurement out"))
     }
 
-    /// Executes one job, retrying with exponential backoff when the
-    /// result looks faulty (exhausted protocol runs) or the error is
-    /// transient. The retry seed differs per attempt but depends only
-    /// on (hash, attempt), keeping the outcome independent of worker
-    /// count and execution order.
+    /// Executes one job under [`execute_job_with_retry_primed`]'s
+    /// policy, counting the execution and its retries. The retry seed
+    /// differs per attempt but depends only on (hash, attempt), keeping
+    /// the outcome independent of worker count and execution order.
     fn execute_with_retry(
         &self,
         job: &JobSpec,
         hash: u64,
         primed: Option<&PrimedEngine>,
+        metrics: &Metrics,
     ) -> Result<Measurement> {
-        let rec = obs::global();
         self.stats.executed.fetch_add(1, Ordering::Relaxed);
-        rec.counter("sched.jobs_executed").inc();
+        metrics.jobs_executed.inc();
         execute_job_with_retry_primed(job, hash, primed, |_| {
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
-            rec.counter("sched.retries").inc();
+            metrics.retries.inc();
         })
     }
 
@@ -861,12 +903,16 @@ impl Scheduler {
     /// through one struct-of-arrays plan table, returning one optional
     /// primed engine pair per `todo` entry (in order). Group detection
     /// is always counted, but priming is skipped entirely while a
-    /// global recorder is live: observed runs must keep per-rep trace
-    /// emission and therefore take the interpreter path. A group whose
+    /// global recorder is live: a primed executor runs no engine, so an
+    /// observed run would record no engine events or counters. A group whose
     /// batch evaluation fails primes nothing, so the per-job path
     /// reproduces the exact error.
-    fn prepare_primed(&self, todo: &[(usize, JobSpec, u64)]) -> Vec<Option<PrimedEngine>> {
-        let rec = obs::global();
+    fn prepare_primed(
+        &self,
+        todo: &[(usize, JobSpec, u64)],
+        metrics: &Metrics,
+    ) -> Vec<Option<PrimedEngine>> {
+        let observed = obs::global().is_enabled();
         let start = Instant::now();
         let mut primed: Vec<Option<PrimedEngine>> = Vec::new();
         primed.resize_with(todo.len(), || None);
@@ -889,9 +935,8 @@ impl Scheduler {
             }
             batches += 1;
             batch_points += members.len() as u64;
-            rec.histogram("plan.batch_size")
-                .observe(members.len() as u64);
-            if rec.is_enabled() {
+            metrics.batch_size.observe(members.len() as u64);
+            if observed {
                 continue;
             }
             let group: Vec<&JobSpec> = members.iter().map(|&m| &todo[m].1).collect();
@@ -1066,6 +1111,61 @@ mod tests {
         assert_eq!(fresh.stats().resumed, 0);
         assert_eq!(fresh.stats().cache_hits, 3);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_batches_on_one_scheduler_keep_the_queue_depth() {
+        // Both batches are dispatched before either finishes (the
+        // backend waits for the other), so their depths must add up
+        // and drain back to zero.
+        let s = Arc::new(Scheduler::new(SchedConfig::new(1).without_cache()));
+        let both = Arc::new(std::sync::Barrier::new(2));
+        s.set_exec_backend(move |todo| {
+            both.wait();
+            todo.iter()
+                .map(|(index, job, hash)| crate::BackendExec {
+                    index: *index,
+                    hash: *hash,
+                    result: job.execute(*hash),
+                    stored: false,
+                })
+                .collect()
+        });
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let s = Arc::clone(&s);
+                scope.spawn(move || s.run_jobs(sim_jobs()).unwrap());
+            }
+        });
+        assert_eq!(
+            s.stats().queue_depth_peak,
+            6,
+            "both batches were pending at once"
+        );
+        let mut snap = Snapshot::default();
+        s.export_into(&mut snap);
+        assert_eq!(
+            snap.gauge("sched.queue_depth"),
+            0,
+            "the depth drains to zero"
+        );
+
+        // The pool path: overlapping batches on a shared scheduler.
+        s.clear_exec_backend();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let s = Arc::clone(&s);
+                scope.spawn(move || {
+                    for _ in 0..4 {
+                        s.run_jobs(sim_jobs()).unwrap();
+                    }
+                });
+            }
+        });
+        let mut snap = Snapshot::default();
+        s.export_into(&mut snap);
+        assert_eq!(snap.gauge("sched.queue_depth"), 0);
+        assert_eq!(s.stats().executed, 6 + 2 * 4 * 3);
     }
 
     #[test]

@@ -524,6 +524,13 @@ fn observability_docs_match_the_telemetry_plane() {
         );
     }
 
+    // The per-engine-run event budgets quoted in the doc are the code's.
+    assert!(obs_doc.contains("`cpu_sim::engine::OP_EVENT_BUDGET` = 8"));
+    assert_eq!(syncperf::cpu_sim::engine::OP_EVENT_BUDGET, 8);
+    assert!(obs_doc.contains("`gpu_sim::engine::OP_EVENT_BUDGET` = 2"));
+    assert_eq!(syncperf::gpu_sim::engine::OP_EVENT_BUDGET, 2);
+    assert!(obs_doc.contains("instant_with"));
+
     // The live-view binary and the quantile/golden tests exist.
     assert!(bench_binaries().contains("syncperf_top"));
     assert!(repo_root().join("tests/telemetry_consistency.rs").exists());

@@ -6,7 +6,9 @@
 //! `docs/OBSERVABILITY.md`.
 
 use proptest::prelude::*;
-use syncperf_core::obs::{self, metrics, FlightRecorder, GaugeMode, Histogram, Recorder};
+use syncperf_bench::{figures_cpu, figures_gpu};
+use syncperf_core::obs::{self, metrics, ArgValue, FlightRecorder, GaugeMode, Histogram, Recorder};
+use syncperf_sched::{SchedConfig, Scheduler};
 
 /// The exposition text for a known snapshot, byte for byte. If this
 /// test fails because the format deliberately changed, update
@@ -210,4 +212,121 @@ fn disabled_recorder_histograms_are_free_and_inert() {
     h.observe(123);
     assert_eq!(h.snapshot().count(), 0);
     assert!(rec.snapshot().histograms.is_empty());
+}
+
+/// One `--no-cache --jobs 1` sweep over a few figures that exercise
+/// both engines and every per-op event kind (per-op instants, store
+/// buffer drains, atomic conflicts); returns the figures as CSV text.
+fn sweep(cache_dir: &std::path::Path) -> Vec<String> {
+    let sched = Scheduler::new(
+        SchedConfig::new(1)
+            .without_cache()
+            .with_cache_dir(cache_dir)
+            .with_label("telemetry"),
+    );
+    syncperf_sched::install(sched);
+    let mut figs = Vec::new();
+    for fig in [
+        figures_cpu::fig01_barrier,
+        figures_cpu::fig02_atomic_update_scalar,
+        figures_cpu::fig06_flush,
+        figures_gpu::fig09_atomicadd_scalar,
+        figures_gpu::fig14_threadfence,
+    ] {
+        figs.extend(fig().expect("figure regenerates"));
+    }
+    syncperf_sched::uninstall();
+    figs.iter().map(|f| f.to_csv()).collect()
+}
+
+/// Observation must not change what is observed, and must describe the
+/// work alone: two identical observed sweeps record the same events and
+/// counters, drop none, and produce the bytes of an unobserved sweep.
+/// This is the only test in this binary that installs the global
+/// recorder, and it runs its unobserved sweep first.
+#[test]
+fn observed_sweeps_repeat_their_events_drop_none_and_match_unobserved_bytes() {
+    let dir = std::env::temp_dir().join(format!("syncperf-telemetry-it-{}", std::process::id()));
+    assert!(!obs::global().is_enabled());
+    let unobserved = sweep(&dir);
+
+    assert!(obs::install(Recorder::enabled()));
+    let rec = obs::global();
+    let mut passes = Vec::new();
+    for _ in 0..2 {
+        let before = rec.snapshot();
+        let bytes = sweep(&dir);
+        let after = rec.snapshot();
+        let events = rec.drain_events();
+        let runs = |snap: &obs::Snapshot| {
+            (
+                snap.counter("cpu_sim.engine_runs"),
+                snap.counter("gpu_sim.launches"),
+                snap.counter("protocol.attempts"),
+            )
+        };
+        let (b, a) = (runs(&before), runs(&after));
+        let kinds: std::collections::BTreeSet<&str> = events
+            .iter()
+            .map(|e| {
+                if e.cat == "cpu_sim.op" {
+                    e.cat
+                } else {
+                    &*e.name
+                }
+            })
+            .filter(|k| ["cpu_sim.op", "store_buffer_drain", "atomic_conflict"].contains(k))
+            .collect();
+        passes.push((
+            bytes,
+            events.len(),
+            (a.0 - b.0, a.1 - b.1, a.2 - b.2),
+            after.dropped_events,
+            kinds.len(),
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (first, second) = (&passes[0], &passes[1]);
+    assert_eq!(first.4, 3, "every per-op event kind was recorded");
+    assert!(first.2 .0 > 0 && first.2 .1 > 0, "both engines ran");
+    assert_eq!(
+        first.1, second.1,
+        "identical sweeps record equal event counts"
+    );
+    assert_eq!(
+        first.2, second.2,
+        "identical sweeps count equal engine work"
+    );
+    assert_eq!(second.3, 0, "a default observed sweep drops no events");
+    assert_eq!(first.0, unobserved, "observing changed the figures");
+    assert_eq!(second.0, unobserved, "observing changed the figures");
+}
+
+/// An event that would not fit is never built: a full ring skips the
+/// building closure of instants and spans alike, and still counts each
+/// drop in the snapshot and the exposition.
+#[test]
+fn full_ring_never_builds_events_but_counts_the_drops() {
+    let rec = Recorder::with_capacity(3);
+    let mut built = 0u32;
+    for i in 0..10u64 {
+        rec.instant_with("t", || {
+            built += 1;
+            (format!("event {i}"), vec![("i", ArgValue::U64(i))])
+        });
+    }
+    assert_eq!(built, 3, "only the events that fit were built");
+    for _ in 0..2 {
+        let mut span = rec.span_with("t", || -> (String, Vec<(&'static str, ArgValue)>) {
+            unreachable!("a span opened on a full ring is never built")
+        });
+        span.push_arg("ignored", 1u64);
+    }
+    let snap = rec.snapshot();
+    assert_eq!(snap.dropped_events, 9);
+    assert!(metrics::render(&snap).contains("events_dropped_total 9\n"));
+    let events = rec.drain_events();
+    assert_eq!(events.len(), 3);
+    assert_eq!(events[2].name, "event 2");
 }
