@@ -15,7 +15,7 @@
 
 use crate::error::Result;
 use crate::kernel::Kernel;
-use crate::obs::{ArgValue, Counter, Handles, Recorder, Snapshot};
+use crate::obs::{ArgValue, Recorder, Snapshot};
 use crate::params::ExecParams;
 use crate::platform::{Executor, TimeUnit};
 use crate::stats;
@@ -24,25 +24,6 @@ use crate::stats;
 /// this fraction are considered within timer accuracy, as for the
 /// paper's atomic-read experiment.
 pub const NEGLIGIBLE_FRACTION: f64 = 0.05;
-
-/// The protocol's metric handles, resolved once per process for the
-/// global recorder (see [`Handles`]).
-#[derive(Debug, Clone)]
-struct Metrics {
-    attempts: Counter,
-    attempts_rejected: Counter,
-    runs: Counter,
-    runs_exhausted: Counter,
-    negligible_verdicts: Counter,
-}
-
-static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
-    attempts: rec.counter("protocol.attempts"),
-    attempts_rejected: rec.counter("protocol.attempts_rejected"),
-    runs: rec.counter("protocol.runs"),
-    runs_exhausted: rec.counter("protocol.runs_exhausted"),
-    negligible_verdicts: rec.counter("protocol.negligible_verdicts"),
-});
 
 /// Measurement-procedure configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +99,8 @@ impl Protocol {
                 ],
             )
         });
-        let metrics = METRICS.get(rec);
+        let c_attempts = rec.counter("protocol.attempts");
+        let c_rejected = rec.counter("protocol.attempts_rejected");
 
         let mut baseline_runs = Vec::with_capacity(self.runs as usize);
         let mut test_runs = Vec::with_capacity(self.runs as usize);
@@ -130,13 +112,13 @@ impl Protocol {
             for attempt in 0..self.max_attempts {
                 let base = executor.execute(&kernel.baseline, params)?.max();
                 let test = executor.execute(&kernel.test, params)?.max();
-                metrics.attempts.inc();
+                c_attempts.inc();
                 if test >= base {
                     chosen = Some((base, test));
                     break;
                 }
                 retries += 1;
-                metrics.attempts_rejected.inc();
+                c_rejected.inc();
                 rec.instant_args(
                     "protocol",
                     "attempt_rejected",
@@ -152,7 +134,7 @@ impl Protocol {
                     // run; flag it so callers can judge stability.
                     chosen = Some((base, test));
                     exhausted_runs += 1;
-                    metrics.runs_exhausted.inc();
+                    rec.counter("protocol.runs_exhausted").inc();
                     rec.instant_args(
                         "protocol",
                         "run_exhausted",
@@ -164,7 +146,7 @@ impl Protocol {
             baseline_runs.push(base);
             test_runs.push(test);
         }
-        metrics.runs.add(u64::from(self.runs));
+        rec.counter("protocol.runs").add(u64::from(self.runs));
 
         let median_baseline = stats::median(&baseline_runs);
         let median_test = stats::median(&test_runs);
@@ -184,7 +166,7 @@ impl Protocol {
             exhausted_runs,
         };
         if m.is_negligible() {
-            metrics.negligible_verdicts.inc();
+            rec.counter("protocol.negligible_verdicts").inc();
             rec.instant_args(
                 "protocol",
                 "negligible_verdict",

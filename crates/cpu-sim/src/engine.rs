@@ -19,7 +19,7 @@
 //! oracle that never extrapolates; the fast path is bit-exact against
 //! it by construction (property-tested in `tests/property_based.rs`).
 
-use syncperf_core::obs::{ArgValue, Counter, Gauge, Handles, Histogram, Recorder};
+use syncperf_core::obs::{ArgValue, Recorder};
 use syncperf_core::{CpuOp, Result, SyncPerfError};
 
 use crate::config::CpuModel;
@@ -38,34 +38,12 @@ pub const OBSERVED_REPS: u64 = 4;
 /// observed engine run may emit. The engine narrates whole rows — one
 /// thread's ops in one of the [`OBSERVED_REPS`] stepped repetitions —
 /// thread 0 first and, within a thread, the latest (steady) repetition
-/// first, as many rows as fit and always at least one. The count is a
-/// pure function of the run's inputs, so identical passes record
-/// identical events; and a full observed `all_figures --jobs 1` pass
-/// stays inside one thread's event ring.
+/// first, as many rows as fit and always at least one: a body whose
+/// row alone exceeds the budget still has that row narrated whole. The
+/// count is a pure function of the run's inputs, so identical passes
+/// record identical events; and a full observed `all_figures --jobs 1`
+/// pass stays inside one thread's event ring.
 pub const OP_EVENT_BUDGET: u64 = 8;
-
-/// The engine's metric handles, resolved once per process for the
-/// global recorder (see [`Handles`]).
-#[derive(Debug, Clone)]
-struct Metrics {
-    engine_runs: Counter,
-    barrier_rounds: Counter,
-    mesi_transitions: Counter,
-    store_buffer_drains: Counter,
-    arb_queue_depth_max: Gauge,
-    compile_us: Histogram,
-    trace_ops: Counter,
-}
-
-static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
-    engine_runs: rec.counter("cpu_sim.engine_runs"),
-    barrier_rounds: rec.counter("cpu_sim.barrier_rounds"),
-    mesi_transitions: rec.counter("cpu_sim.mesi_transitions"),
-    store_buffer_drains: rec.counter("cpu_sim.store_buffer_drains"),
-    arb_queue_depth_max: rec.gauge("cpu_sim.arb_queue_depth_max"),
-    compile_us: rec.histogram("plan.compile_us"),
-    trace_ops: rec.counter("plan.trace_ops"),
-});
 
 /// Which per-op events an observed run emits (see [`OP_EVENT_BUDGET`]).
 struct Narration<'a> {
@@ -74,8 +52,6 @@ struct Narration<'a> {
     emit_reps: u64,
     /// Rows narrated, counted thread-major, latest repetition first.
     rows: u64,
-    /// Events left in the budget (a row can exceed it on long bodies).
-    left: u64,
     /// Store-buffer drains seen in the stepped repetitions (all
     /// threads), added to the counter once at the end of the run.
     drains: u64,
@@ -89,21 +65,13 @@ impl<'a> Narration<'a> {
             rec,
             emit_reps,
             rows: (OP_EVENT_BUDGET / row_events).max(1),
-            left: OP_EVENT_BUDGET,
             drains: 0,
         }
     }
 
-    /// Whether thread `tid`'s next event in `rep` is emitted (taking it
-    /// from the budget).
-    fn take(&mut self, tid: usize, rep: u64) -> bool {
-        let row = tid as u64 * self.emit_reps + (self.emit_reps - 1 - rep);
-        if row < self.rows && self.left > 0 {
-            self.left -= 1;
-            true
-        } else {
-            false
-        }
+    /// Whether thread `tid`'s events in `rep` are emitted.
+    fn narrates(&self, tid: usize, rep: u64) -> bool {
+        tid as u64 * self.emit_reps + (self.emit_reps - 1 - rep) < self.rows
     }
 }
 
@@ -219,10 +187,9 @@ fn run_impl(
         )
     });
     let enabled = rec.is_enabled();
-    let metrics = METRICS.get(rec);
-    metrics.engine_runs.inc();
+    rec.counter("cpu_sim.engine_runs").inc();
     if enabled {
-        record_coherence_profile(model, placement, &contention, body, reps, &metrics);
+        record_coherence_profile(model, placement, &contention, body, reps, rec);
     }
 
     let mut s = Scratch {
@@ -252,7 +219,7 @@ fn run_impl(
             let narrate = (rep < emit_reps).then_some(&mut narration);
             step_rep(&plan, body, &mut s, narrate, rep, &mut barrier_episodes);
         } else {
-            let tr = trace.get_or_insert_with(|| compile_trace(&plan, &metrics, enabled));
+            let tr = trace.get_or_insert_with(|| compile_trace(&plan, rec, enabled));
             barrier_episodes += tr.step_rep(&mut s.t, &mut s.pending, &mut s.order);
         }
         rep += 1;
@@ -294,8 +261,11 @@ fn run_impl(
             break;
         }
     }
-    metrics.barrier_rounds.add(barrier_episodes);
-    metrics.store_buffer_drains.add(narration.drains);
+    rec.counter("cpu_sim.barrier_rounds").add(barrier_episodes);
+    if narration.drains > 0 {
+        rec.counter("cpu_sim.store_buffer_drains")
+            .add(narration.drains);
+    }
 
     Ok(EngineResult {
         per_thread_ns: s.t.iter().map(|&u| units_to_ns(u)).collect(),
@@ -305,16 +275,15 @@ fn run_impl(
 
 /// Lowers the plan to a flat trace, recording `plan.compile_us` and
 /// `plan.trace_ops` when observation is on.
-fn compile_trace(plan: &RunPlan, metrics: &Metrics, enabled: bool) -> OpTrace {
+fn compile_trace(plan: &RunPlan, rec: &Recorder, enabled: bool) -> OpTrace {
     if !enabled {
         return OpTrace::compile(plan);
     }
     let start = std::time::Instant::now();
     let tr = OpTrace::compile(plan);
-    metrics
-        .compile_us
+    rec.histogram("plan.compile_us")
         .observe(start.elapsed().as_micros() as u64);
-    metrics.trace_ops.add(tr.trace_ops() as u64);
+    rec.counter("plan.trace_ops").add(tr.trace_ops() as u64);
     tr
 }
 
@@ -375,7 +344,7 @@ fn step_ops(
                 if let Some(n) = narrate.as_deref_mut() {
                     if drain > 0 {
                         n.drains += 1;
-                        if n.take(tid, rep) {
+                        if n.narrates(tid, rep) {
                             n.rec.instant_with("cpu_sim", || {
                                 (
                                     "store_buffer_drain",
@@ -391,7 +360,7 @@ fn step_ops(
             }
         }
         if let Some(n) = narrate.as_deref_mut() {
-            if n.take(tid, rep) {
+            if n.narrates(tid, rep) {
                 let cost = *t - before;
                 n.rec.instant_with("cpu_sim.op", || {
                     (
@@ -433,7 +402,7 @@ fn record_coherence_profile(
     contention: &ContentionMap,
     body: &[CpuOp],
     reps: u64,
-    metrics: &Metrics,
+    rec: &Recorder,
 ) {
     let mut transitions = 0u64;
     let mut depth_max = 0u64;
@@ -464,8 +433,8 @@ fn record_coherence_profile(
             }
         }
     }
-    metrics.arb_queue_depth_max.record(depth_max);
-    metrics.mesi_transitions.add(transitions);
+    rec.gauge("cpu_sim.arb_queue_depth_max").record(depth_max);
+    rec.counter("cpu_sim.mesi_transitions").add(transitions);
 }
 
 #[cfg(test)]
@@ -752,5 +721,26 @@ mod tests {
         let quiet = run(&m, &p, &body, 200).unwrap();
         let observed = run_observed(&m, &p, &body, 200, &Recorder::enabled()).unwrap();
         assert_eq!(quiet, observed);
+    }
+
+    #[test]
+    fn a_row_longer_than_the_budget_is_narrated_whole() {
+        let (m, p) = setup(4);
+        let op = kernel::omp_atomic_update_scalar(DType::I32).test[0];
+        let body = vec![op; OP_EVENT_BUDGET as usize + 4];
+        let rec = Recorder::enabled();
+        run_observed(&m, &p, &body, 10, &rec).unwrap();
+        let ops: Vec<_> = rec
+            .drain_events()
+            .into_iter()
+            .filter(|e| e.cat == "cpu_sim.op")
+            .collect();
+        assert_eq!(ops.len(), body.len(), "exactly one whole row");
+        for (idx, e) in ops.iter().enumerate() {
+            let arg = |key| e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            assert_eq!(arg("tid"), Some(&ArgValue::from(0usize)));
+            assert_eq!(arg("rep"), Some(&ArgValue::from(OBSERVED_REPS - 1)));
+            assert_eq!(arg("idx"), Some(&ArgValue::from(idx)));
+        }
     }
 }

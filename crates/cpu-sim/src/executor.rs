@@ -184,6 +184,13 @@ impl CpuSimExecutor {
         Ok((result, uses_hyperthreads))
     }
 
+    /// Empties the engine memo, so the next execution re-runs the
+    /// engine.
+    #[cfg(test)]
+    fn clear_memo(&mut self) {
+        self.cache.clear();
+    }
+
     /// Seeds the engine memo with a precomputed result for
     /// `(body, params)`. The scheduler's batched sweep evaluation
     /// computes many same-shape engine runs in one struct-of-arrays
@@ -363,21 +370,26 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // An unobserved executor and an observed one with the same
-        // jitter seed must agree bit-for-bit.
+        // A memoizing executor, an observed (also memoizing) one and one
+        // whose memo is emptied before every execution, so it re-runs
+        // the engine each time, must agree bit-for-bit at the same
+        // jitter seed.
         let body_a = kernel::omp_atomic_update_scalar(DType::I32).baseline;
         let body_b = kernel::omp_atomic_update_scalar(DType::I32).test;
         let mut cached = CpuSimExecutor::with_seed(&SYSTEM3, 7);
         let mut observed = CpuSimExecutor::with_seed(&SYSTEM3, 7)
             .with_recorder(syncperf_core::obs::Recorder::enabled());
+        let mut fresh = CpuSimExecutor::with_seed(&SYSTEM3, 7);
         for _ in 0..3 {
             for body in [&body_a, &body_b] {
-                assert_eq!(
-                    cached.execute(body, &quick(8)).unwrap(),
-                    observed.execute(body, &quick(8)).unwrap()
-                );
+                fresh.clear_memo();
+                let expect = fresh.execute(body, &quick(8)).unwrap();
+                assert_eq!(cached.execute(body, &quick(8)).unwrap(), expect);
+                assert_eq!(observed.execute(body, &quick(8)).unwrap(), expect);
             }
         }
+        assert_eq!(fresh.cache.len(), 1);
+        assert_eq!(cached.cache.len(), 2, "both bodies memoized");
     }
 
     #[test]

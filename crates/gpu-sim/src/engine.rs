@@ -14,7 +14,7 @@
 //! exact integer multiply, bit-identical to stepping every repetition
 //! ([`run_full_stepping`] is the oracle that does exactly that).
 
-use syncperf_core::obs::{ArgValue, Counter, Handles, Recorder};
+use syncperf_core::obs::{ArgValue, Recorder};
 use syncperf_core::{DType, GpuOp, Result, Scope, SyncPerfError, Target};
 
 use crate::config::GpuModel;
@@ -27,23 +27,6 @@ use crate::occupancy::Occupancy;
 /// identical events; the `gpu_sim.atomic_conflicts` counter still
 /// counts every conflict.
 pub const OP_EVENT_BUDGET: u64 = 2;
-
-/// The engine's metric handles, resolved once per process for the
-/// global recorder (see [`Handles`]).
-#[derive(Debug, Clone)]
-struct Metrics {
-    launches: Counter,
-    blocks_scheduled: Counter,
-    warps_scheduled: Counter,
-    atomic_conflicts: Counter,
-}
-
-static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
-    launches: rec.counter("gpu_sim.launches"),
-    blocks_scheduled: rec.counter("gpu_sim.blocks_scheduled"),
-    warps_scheduled: rec.counter("gpu_sim.warps_scheduled"),
-    atomic_conflicts: rec.counter("gpu_sim.atomic_conflicts"),
-});
 
 /// log₂ of the number of fixed-point units per cycle.
 pub const SCALE_BITS: u32 = 20;
@@ -250,13 +233,13 @@ fn analyze_body(
             ],
         )
     });
-    let metrics = METRICS.get(rec);
-    metrics.launches.inc();
-    metrics.blocks_scheduled.add(u64::from(occ.blocks));
-    metrics
-        .warps_scheduled
+    rec.counter("gpu_sim.launches").inc();
+    rec.counter("gpu_sim.blocks_scheduled")
+        .add(u64::from(occ.blocks));
+    rec.counter("gpu_sim.warps_scheduled")
         .add(u64::from(occ.blocks) * u64::from(occ.warps_per_block));
     let mut events_left = OP_EVENT_BUDGET;
+    let mut conflicts = 0u64;
 
     let total_threads = u64::from(occ.blocks) * u64::from(occ.threads_per_block);
     let mut units_per_rep = 0u64;
@@ -276,7 +259,7 @@ fn analyze_body(
         // conflict, every repetition.
         if let Some((_, _, _, target)) = cost::atomic_kind(op) {
             if matches!(target, Target::SharedScalar(_)) && total_threads > 1 {
-                metrics.atomic_conflicts.add((total_threads - 1) * reps);
+                conflicts += (total_threads - 1) * reps;
                 if rec.is_enabled() && events_left > 0 {
                     events_left -= 1;
                     rec.instant_with("gpu_sim", || {
@@ -292,6 +275,9 @@ fn analyze_body(
                 }
             }
         }
+    }
+    if conflicts > 0 {
+        rec.counter("gpu_sim.atomic_conflicts").add(conflicts);
     }
     span.push_arg("cycles_per_rep", units_to_cycles(units_per_rep));
     Ok(GpuEngineResult {

@@ -179,6 +179,13 @@ impl GpuSimExecutor {
         Ok(result)
     }
 
+    /// Empties the engine memo, so the next execution re-runs the
+    /// engine.
+    #[cfg(test)]
+    fn clear_memo(&mut self) {
+        self.cache.clear();
+    }
+
     /// Seeds the engine memo with a precomputed result for
     /// `(body, params)`. The scheduler's batched sweep evaluation
     /// computes many same-shape points in one struct-of-arrays pass
@@ -339,23 +346,28 @@ mod tests {
 
     #[test]
     fn engine_memo_is_invisible_to_results() {
-        // An unobserved executor and an observed one with the same
-        // jitter seed must agree bit-for-bit —
-        // including for system-fence bodies, whose jitter RNG draws
-        // from the memoized result exactly as from a fresh run.
+        // A memoizing executor, an observed (also memoizing) one and one
+        // whose memo is emptied before every execution, so it re-runs
+        // the engine each time, must agree bit-for-bit at the same
+        // jitter seed — including for system-fence bodies, whose
+        // jitter RNG draws from the memoized result exactly as from a
+        // fresh run.
         let fenced = kernel::cuda_threadfence(Scope::System, DType::I32, 1).test;
         let plain = kernel::cuda_atomic_add_scalar(DType::I32).baseline;
         let mut cached = GpuSimExecutor::with_seed(&SYSTEM3, 7);
         let mut observed = GpuSimExecutor::with_seed(&SYSTEM3, 7)
             .with_recorder(syncperf_core::obs::Recorder::enabled());
+        let mut fresh = GpuSimExecutor::with_seed(&SYSTEM3, 7);
         for _ in 0..3 {
             for body in [&fenced, &plain] {
-                assert_eq!(
-                    cached.execute(body, &quick(2, 64)).unwrap(),
-                    observed.execute(body, &quick(2, 64)).unwrap()
-                );
+                fresh.clear_memo();
+                let expect = fresh.execute(body, &quick(2, 64)).unwrap();
+                assert_eq!(cached.execute(body, &quick(2, 64)).unwrap(), expect);
+                assert_eq!(observed.execute(body, &quick(2, 64)).unwrap(), expect);
             }
         }
+        assert_eq!(fresh.cache.len(), 1);
+        assert_eq!(cached.cache.len(), 2, "both bodies memoized");
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! that builds the event's name and arguments, and run it only when the
 //! thread's ring has room; a full ring counts the drop and builds
 //! nothing. Looking up an already-registered counter, gauge or
-//! histogram by name takes a shared read lock and allocates nothing,
-//! and [`Handles`] resolves a hot path's handles once per process
-//! against the installed global recorder, so the path itself touches
-//! only atomics.
+//! histogram by name takes a shared read lock and allocates nothing;
+//! hot paths resolve their handles once per run and then touch only
+//! atomics.
 //!
 //! At the end of a run, [`Recorder::drain_events`] merges the rings
 //! into one time-ordered stream and [`Recorder::snapshot`] freezes the
@@ -334,14 +333,6 @@ impl Recorder {
             cache.push((key, Arc::downgrade(inner), ring.clone()));
             ring
         })
-    }
-
-    /// Whether this is the recorder [`install`]ed as the global one.
-    fn is_installed_global(&self) -> bool {
-        match (&self.inner, GLOBAL.get().and_then(|g| g.inner.as_ref())) {
-            (Some(mine), Some(global)) => Arc::ptr_eq(mine, global),
-            _ => false,
-        }
     }
 
     /// Records an instant event with no arguments.
@@ -783,59 +774,6 @@ impl Snapshot {
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
-/// A hot path's metric handles, resolved once per process against the
-/// installed global recorder.
-///
-/// Components handed a `&Recorder` per call (an engine run, a protocol
-/// measurement) keep a `static` of this type and call [`Handles::get`]:
-/// for the [`install`]ed global recorder the handles are looked up by
-/// name once and then shared, so the path touches only atomics; for any
-/// other recorder they are looked up afresh (a disabled recorder's
-/// handles are inert and free to build).
-///
-/// ```
-/// use syncperf_obs::{Counter, Handles, Recorder};
-///
-/// static RUNS: Handles<Counter> = Handles::new(|rec| rec.counter("demo.runs"));
-///
-/// let rec = Recorder::enabled();
-/// RUNS.get(&rec).inc();
-/// assert_eq!(rec.snapshot().counter("demo.runs"), 1);
-/// ```
-pub struct Handles<T> {
-    init: fn(&Recorder) -> T,
-    global: OnceLock<T>,
-}
-
-impl<T: Clone> Handles<T> {
-    /// Handles built by `init` from a recorder.
-    #[must_use]
-    pub const fn new(init: fn(&Recorder) -> T) -> Self {
-        Handles {
-            init,
-            global: OnceLock::new(),
-        }
-    }
-
-    /// The handles for `rec`: shared when `rec` is the installed global
-    /// recorder, freshly resolved otherwise.
-    pub fn get(&self, rec: &Recorder) -> Cow<'_, T> {
-        if rec.is_installed_global() {
-            Cow::Borrowed(self.global.get_or_init(|| (self.init)(rec)))
-        } else {
-            Cow::Owned((self.init)(rec))
-        }
-    }
-}
-
-impl<T> fmt::Debug for Handles<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Handles")
-            .field("resolved", &self.global.get().is_some())
-            .finish()
-    }
-}
-
 /// Installs `rec` as the process-global recorder consulted by
 /// components that were not handed an explicit one. Returns `false` if
 /// a global recorder was already installed (the existing one stays).
@@ -983,21 +921,6 @@ mod tests {
         b.add(3);
         assert_eq!(a.get(), 5);
         assert_eq!(rec.snapshot().counters.len(), 1);
-    }
-
-    #[test]
-    fn handles_resolve_fresh_for_a_non_global_recorder() {
-        static RUNS: Handles<Counter> = Handles::new(|rec| rec.counter("runs"));
-        let (a, b) = (Recorder::enabled(), Recorder::enabled());
-        RUNS.get(&a).inc();
-        RUNS.get(&b).add(2);
-        RUNS.get(&Recorder::disabled()).inc();
-        assert_eq!(a.snapshot().counter("runs"), 1);
-        assert_eq!(b.snapshot().counter("runs"), 2);
-        assert!(
-            matches!(RUNS.get(&a), Cow::Owned(_)),
-            "only the global is shared"
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use syncperf_core::obs::{self, Counter, Gauge, Handles, Histogram, Snapshot};
+use syncperf_core::obs::{self, Counter, Gauge, Histogram, Recorder, Snapshot};
 use syncperf_core::{Measurement, Result, SyncPerfError};
 
 use crate::cache::Cache;
@@ -37,7 +37,8 @@ pub const SCHED_SALT: &str = "syncperf-sched-v2";
 pub const MAX_EXECUTE_ATTEMPTS: u32 = 3;
 
 /// The scheduler's metric handles in the global recorder, resolved once
-/// per process (see [`Handles`]).
+/// per [`Scheduler::run_jobs`] call so the per-job path touches only
+/// atomics.
 #[derive(Debug, Clone)]
 struct Metrics {
     jobs: Counter,
@@ -56,22 +57,26 @@ struct Metrics {
     batch_size: Histogram,
 }
 
-static METRICS: Handles<Metrics> = Handles::new(|rec| Metrics {
-    jobs: rec.counter("sched.jobs"),
-    jobs_executed: rec.counter("sched.jobs_executed"),
-    cache_hits: rec.counter("sched.cache_hits"),
-    cache_misses: rec.counter("sched.cache_misses"),
-    cache_stores: rec.counter("sched.cache_stores"),
-    resumed: rec.counter("sched.resumed"),
-    retries: rec.counter("sched.retries"),
-    steals: rec.counter("sched.steals"),
-    queue_depth: rec.gauge_set("sched.queue_depth"),
-    queue_depth_peak: rec.gauge("sched.queue_depth_peak"),
-    wait_us: rec.histogram("sched.wait_us"),
-    service_hit_us: rec.histogram("sched.service_us.hit"),
-    service_miss_us: rec.histogram("sched.service_us.miss"),
-    batch_size: rec.histogram("plan.batch_size"),
-});
+impl Metrics {
+    fn new(rec: &Recorder) -> Self {
+        Metrics {
+            jobs: rec.counter("sched.jobs"),
+            jobs_executed: rec.counter("sched.jobs_executed"),
+            cache_hits: rec.counter("sched.cache_hits"),
+            cache_misses: rec.counter("sched.cache_misses"),
+            cache_stores: rec.counter("sched.cache_stores"),
+            resumed: rec.counter("sched.resumed"),
+            retries: rec.counter("sched.retries"),
+            steals: rec.counter("sched.steals"),
+            queue_depth: rec.gauge_set("sched.queue_depth"),
+            queue_depth_peak: rec.gauge("sched.queue_depth_peak"),
+            wait_us: rec.histogram("sched.wait_us"),
+            service_hit_us: rec.histogram("sched.service_us.hit"),
+            service_miss_us: rec.histogram("sched.service_us.miss"),
+            batch_size: rec.histogram("plan.batch_size"),
+        }
+    }
+}
 
 /// The content hash of `job` under the scheduler's hashing scheme:
 /// FNV-1a over the canonical form plus [`SCHED_SALT`] and
@@ -689,7 +694,7 @@ impl Scheduler {
     /// only recomputes the failures).
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Result<Vec<Measurement>> {
         let n = jobs.len();
-        let metrics = METRICS.get(obs::global());
+        let metrics = Metrics::new(obs::global());
         self.stats.jobs.fetch_add(n as u64, Ordering::Relaxed);
         metrics.jobs.add(n as u64);
 
